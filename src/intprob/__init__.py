@@ -2,10 +2,10 @@
 
 from .belief import (
     MassFunction,
-    SetFunction,
     SingletonTotals,
     belief_values,
     classify,
+    contour,
     mobius_plausibility,
     plausibility_values,
     random_mass,

@@ -1,12 +1,14 @@
 """Mass functions and the set functions derived from them.
 
 Masses are stored sparsely (focal elements only); derived set functions
-(belief, plausibility, Moebius inverse of plausibility) are dense tables
-over all 2^n events, since the frame is capped at desk scale.
+(belief, plausibility, Moebius inverse of plausibility) are plain arrays
+indexed by mask over all 2^n events, since the frame is capped at desk
+scale. The contour, plausibility on singletons, needs no such table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +33,8 @@ class MassFunction:
     def __post_init__(self):
         clean = {}
         for mask, value in self.masses.items():
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite mass {value!r} on mask {mask}")
             if not 0 <= mask <= self.frame.full:
                 raise ValueError(f"mask {mask} outside frame of size {self.frame.size}")
             if mask == 0:
@@ -90,18 +94,6 @@ class MassFunction:
 
 
 @dataclass(frozen=True)
-class SetFunction:
-    """A dense real-valued function on 2^Theta."""
-
-    frame: Frame
-    values: np.ndarray
-    kind: str = "generic"  # belief | plausibility | mobius-plausibility | generic
-
-    def value(self, mask: int) -> float:
-        return float(self.values[mask])
-
-
-@dataclass(frozen=True)
 class SingletonTotals:
     k_bel: float
     k_pl: float
@@ -129,46 +121,51 @@ def _mobius(table: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def belief_values(m: MassFunction) -> SetFunction:
-    """Belief of every event: total mass of its subsets."""
-    return SetFunction(m.frame, _zeta(m.dense(), m.frame.size), kind="belief")
+def belief_values(m: MassFunction) -> np.ndarray:
+    """Belief of every event, indexed by mask: total mass of its subsets."""
+    return _zeta(m.dense(), m.frame.size)
 
 
-def plausibility_values(m: MassFunction) -> SetFunction:
-    """Plausibility of every event: total mass of the sets meeting it."""
-    bel = _zeta(m.dense(), m.frame.size)
-    full = m.frame.full
-    pl = np.empty_like(bel)
-    for mask in range(full + 1):
-        pl[mask] = 1.0 - bel[full & ~mask]
-    return SetFunction(m.frame, pl, kind="plausibility")
+def plausibility_values(m: MassFunction) -> np.ndarray:
+    """Plausibility of every event, indexed by mask: total mass of the sets
+    meeting it, read as 1 - Bel of the complement."""
+    # the complement of mask is full - mask, so reversing the table pairs them
+    return 1.0 - _zeta(m.dense(), m.frame.size)[::-1]
 
 
-def mobius_plausibility(m: MassFunction) -> SetFunction:
-    """Moebius inverse of the plausibility function.
+def mobius_plausibility(m: MassFunction) -> np.ndarray:
+    """Moebius inverse of the plausibility function, indexed by mask.
 
     Sums to one over all events and reconstructs Pl by subset sums; on
     singletons it coincides with Pl itself.
     """
-    pl = plausibility_values(m).values
-    mu = _mobius(pl, m.frame.size)
-    return SetFunction(m.frame, mu, kind="mobius-plausibility")
+    return _mobius(plausibility_values(m), m.frame.size)
 
 
-def masses_from_belief(bel: SetFunction) -> MassFunction:
+def contour(m: MassFunction) -> np.ndarray:
+    """Plausibility of each singleton, in frame order.
+
+    Pl({x}) is the total mass of the focal sets containing x, read off the
+    focal masks' bits without a 2^n table; pseudo masses are handled alike.
+    """
+    masks = np.fromiter(m.masses, dtype=np.int64, count=len(m.masses))
+    values = np.fromiter(m.masses.values(), dtype=float, count=len(m.masses))
+    return values @ (masks[:, None] >> np.arange(m.frame.size) & 1)
+
+
+def masses_from_belief(frame: Frame, bel: np.ndarray) -> MassFunction:
     """Recover the mass assignment from a belief table (Moebius inversion)."""
-    table = _mobius(bel.values, bel.frame.size)
+    table = _mobius(bel, frame.size)
     masses = {a: float(v) for a, v in enumerate(table) if a and abs(v) > EPS}
     pseudo = any(v < -EPS for v in masses.values())
-    return MassFunction(bel.frame, masses, pseudo=pseudo)
+    return MassFunction(frame, masses, pseudo=pseudo)
 
 
 def singleton_totals(m: MassFunction) -> SingletonTotals:
     """Total singleton mass k_bel and total singleton plausibility k_pl."""
-    n = m.frame.size
-    k_bel = sum(m.mass(1 << i) for i in range(n))
-    k_pl = sum(v * Frame.cardinality(a) for a, v in m.masses.items())
-    return SingletonTotals(k_bel=k_bel, k_pl=k_pl)
+    return SingletonTotals(
+        k_bel=float(m.singleton_values().sum()), k_pl=float(contour(m).sum())
+    )
 
 
 def classify(m: MassFunction) -> str:

@@ -141,6 +141,15 @@ def cmd_decide(args) -> int:
             utilities = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {args.utilities}: {exc}") from exc
+    if not isinstance(utilities, dict) or not all(
+        isinstance(payoffs, dict) for payoffs in utilities.values()
+    ):
+        raise ParseError(
+            f"malformed utilities {args.utilities}: need an object mapping "
+            "each option to an object of payoffs by label"
+        )
+    if not utilities:
+        raise ValueError("utilities name no options to choose from")
     dist = _apply_transform(obj, args.transform)
     labels = dist.frame.labels
     ranking = []

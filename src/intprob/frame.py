@@ -8,7 +8,7 @@ is the empty set and the full mask is the whole frame.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_FRAME_SIZE = 24
 MAX_PERMUTATION_SIZE = 10

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .belief import EPS, MassFunction, belief_values, plausibility_values, singleton_totals
+from .belief import EPS, MassFunction, belief_values, contour, singleton_totals
 from .frame import Frame, FrameSizeError, permutations
 from .transforms import Distribution
 
@@ -133,8 +133,7 @@ def upper_simplex(m: MassFunction) -> Simplex:
     """
     if m.pseudo:
         raise ValueError("bounding simplices are defined for proper mass functions")
-    pl = plausibility_values(m)
-    singles = np.array([pl.value(1 << i) for i in range(m.frame.size)])
+    singles = contour(m)
     slack = 1.0 - singles.sum()
     vertices = []
     for i in range(m.frame.size):
@@ -297,10 +296,9 @@ def credal_decomposition_check(m: MassFunction, samples: int = 200, seed: int = 
     frame = m.frame
     if frame.size > 6:
         raise FrameSizeError("decomposition check enumerates all events; frame too large")
-    bel = belief_values(m).values
-    pl = plausibility_values(m).values
+    bel = belief_values(m)
     singles_l = m.singleton_values()
-    singles_u = np.array([pl[1 << i] for i in range(frame.size)])
+    singles_u = contour(m)
     rng = np.random.default_rng(seed)
     points = [v.values for v in credal_vertices(m)]
     points += list(rng.dirichlet(np.ones(frame.size), size=samples))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .belief import EPS, MassFunction, plausibility_values
+from .belief import EPS, MassFunction, contour
 from .frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,9 +84,9 @@ def from_belief(m: MassFunction) -> IntervalSystem:
     """Singleton belief/plausibility intervals l(x) = m(x), u(x) = Pl(x)."""
     if m.pseudo:
         raise ValueError("interval systems require a proper mass function")
-    pl = plausibility_values(m)
-    lower = {x: m.mass(m.frame.singleton(x)) for x in m.frame.labels}
-    upper = {x: pl.value(m.frame.singleton(x)) for x in m.frame.labels}
+    labels = m.frame.labels
+    lower = dict(zip(labels, m.singleton_values().tolist()))
+    upper = dict(zip(labels, contour(m).tolist()))
     return IntervalSystem(m.frame, lower, upper)
 
 

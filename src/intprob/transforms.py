@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import (
-    EPS,
-    MassFunction,
-    classify,
-    mobius_plausibility,
-    plausibility_values,
-    singleton_totals,
-)
+from .belief import EPS, MassFunction, contour, mobius_plausibility, singleton_totals
 from .frame import Frame
-from .intervals import IntervalSystem, InconsistentSystemError, check_consistency
+from .intervals import IntervalSystem, _require_consistent
 
 
 class ZeroSingletonMassError(ValueError):
@@ -47,6 +40,8 @@ class Distribution:
         object.__setattr__(self, "values", values)
         if values.shape != (self.frame.size,):
             raise ValueError("need one value per frame element")
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite value in a distribution: {values.tolist()!r}")
         if abs(values.sum() - 1.0) > 1e-6:
             raise ValueError(f"distribution must sum to 1, got {values.sum()!r}")
         if self.proper and (values < -EPS).any():
@@ -88,11 +83,6 @@ class CardinalityProfile:
         if den <= EPS:
             return BetaCoefficient(0.0, degenerate=True)
         return BetaCoefficient(num / den)
-
-
-def _require_consistent(sys: IntervalSystem) -> None:
-    if check_consistency(sys) != "consistent":
-        raise InconsistentSystemError("interval system has an empty credal set")
 
 
 def beta(sys: IntervalSystem) -> BetaCoefficient:
@@ -148,7 +138,7 @@ def varsigma(m: MassFunction) -> MassFunction:
     b = beta_of_mass(m)
     if b.degenerate:
         return m
-    mu = mobius_plausibility(m).values
+    mu = mobius_plausibility(m)
     masses = {}
     for a in range(1, m.frame.full + 1):
         v = m.mass(a) + b.value * (float(mu[a]) - m.mass(a))
@@ -179,8 +169,7 @@ def relative_belief(m: MassFunction) -> Distribution:
 
 def relative_plausibility(m: MassFunction) -> Distribution:
     """Singleton plausibilities renormalised to one."""
-    pl = plausibility_values(m)
-    singles = np.array([pl.value(1 << i) for i in range(m.frame.size)])
+    singles = contour(m)
     return Distribution(m.frame, singles / singles.sum())
 
 
@@ -195,17 +184,10 @@ def sudano(m: MassFunction, which: str) -> Distribution:
     if which == "PrNPl":
         return relative_plausibility(m)
     if which == "PraPl":
-        totals = singleton_totals(m)
-        pl = plausibility_values(m)
-        eps = (1.0 - totals.k_bel) / totals.k_pl
-        values = np.array(
-            [m.mass(1 << i) + eps * pl.value(1 << i) for i in range(n)]
-        )
-        return Distribution(m.frame, values)
+        singles, pl = m.singleton_values(), contour(m)
+        return Distribution(m.frame, singles + (1.0 - singles.sum()) / pl.sum() * pl)
     if which == "PrPl":
-        weights = np.array(
-            [plausibility_values(m).value(1 << i) for i in range(n)]
-        )
+        weights = contour(m)
     else:  # PrBel: weight singletons by their own mass
         weights = m.singleton_values()
     values = np.zeros(n)
@@ -241,7 +223,3 @@ def cardinality_profile(m: MassFunction) -> CardinalityProfile:
     for a, v in m.masses.items():
         sigma[Frame.cardinality(a)] += v
     return CardinalityProfile(sigma)
-
-
-def is_bayesian(m: MassFunction) -> bool:
-    return classify(m) == "bayesian"

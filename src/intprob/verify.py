@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,6 +20,7 @@ from .belief import (
     EPS,
     MassFunction,
     belief_values,
+    contour,
     masses_from_belief,
     mobius_plausibility,
     plausibility_values,
@@ -156,12 +157,8 @@ def _d_coefficient(m: MassFunction) -> float:
 def _cross_probability(m_a: MassFunction, m_b: MassFunction) -> np.ndarray:
     """m_a's singleton masses moved toward plausibility by m_b's beta."""
     beta_b = transforms.beta_of_mass(m_b).value
-    pl = plausibility_values(m_a)
-    out = np.empty(m_a.frame.size)
-    for i in range(m_a.frame.size):
-        lo = m_a.mass(1 << i)
-        out[i] = lo + beta_b * (pl.value(1 << i) - lo)
-    return out
+    lo = m_a.singleton_values()
+    return lo + beta_b * (contour(m_a) - lo)
 
 
 def t_probability(m1: MassFunction, m2: MassFunction) -> np.ndarray:
@@ -270,12 +267,12 @@ def check_commutation_criteria(m1: MassFunction, m2: MassFunction) -> TheoremRep
 def _suite_belief(rng: np.random.Generator, n: int) -> list[float]:
     m = random_mass(_frame(n), int(rng.integers(2**31)))
     frame = m.frame
-    bel = belief_values(m).values
-    pl = plausibility_values(m).values
-    mu = mobius_plausibility(m).values
+    bel = belief_values(m)
+    pl = plausibility_values(m)
+    mu = mobius_plausibility(m)
     res = []
     res.append(_worst([abs(pl[a] - (1.0 - bel[frame.full & ~a])) for a in range(frame.full + 1)]))
-    res.append(_mass_residual(masses_from_belief(belief_values(m)), m))
+    res.append(_mass_residual(masses_from_belief(frame, bel), m))
     for i in range(n):
         total = sum(mu[a] for a in range(1, frame.full + 1) if a >> i & 1)
         res.append(abs(total - m.mass(1 << i)))
@@ -393,11 +390,8 @@ def _suite_transforms(rng: np.random.Generator, n: int) -> list[float]:
         abs(sum(v for a, v in vs.masses.items() if Frame.cardinality(a) > 1))
     )
     # contour of varsigma
-    pl = plausibility_values(m)
-    pl_vs = plausibility_values(vs)
-    for i in range(n):
-        expected = b.value * m.mass(1 << i) + (1 - b.value) * pl.value(1 << i)
-        res.append(abs(pl_vs.value(1 << i) - expected))
+    expected = b.value * m.singleton_values() + (1 - b.value) * contour(m)
+    res.append(float(np.max(np.abs(contour(vs) - expected))))
     res.append(
         float(np.max(np.abs(transforms.sudano(m, "PrNPl").values - rp)))
     )
@@ -435,8 +429,7 @@ def _suite_geometry(rng: np.random.Generator, n: int) -> list[float]:
     res.append(0.0 if not lower.degenerate else 1.0)
     # vertex dominance
     singles_l = m.singleton_values()
-    pl = plausibility_values(m)
-    singles_u = np.array([pl.value(1 << i) for i in range(n)])
+    singles_u = contour(m)
     for v in lower.vertices:
         res.append(_worst([0.0, np.max(singles_l - v.values)]))
     for v in upper.vertices:
@@ -513,9 +506,9 @@ def run_all(seed: int, trials: int, max_n: int) -> list[TheoremReport]:
         raise ValueError("max_n above 6 makes the exhaustive checks explode")
     if max_n < 2:
         raise ValueError("need max_n >= 2")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     reports: list[TheoremReport] = []
-    if trials == 0:
-        return reports
 
     def sweep(name: str, suite: Callable, tol: float = DEFAULT_TOL, min_n: int = 2):
         residuals = []

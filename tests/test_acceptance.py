@@ -119,7 +119,7 @@ def test_criterion_2_moebius_and_varsigma():
     vs_expected = {1: 0.388, 2: 0.247, 4: 0.365, 3: -0.071, 5: -0.106, 6: -0.123, 7: 0.3}
     p = transforms.intersection_probability(intervals.from_belief(m))
     ok = (
-        all(abs(mu.value(a) - v) <= 1e-3 for a, v in mu_expected.items())
+        all(abs(mu[a] - v) <= 1e-3 for a, v in mu_expected.items())
         and all(abs(vs.mass(a) - v) <= 1e-3 for a, v in vs_expected.items())
         and np.max(np.abs(p.values - [0.388, 0.247, 0.365])) <= 1e-3
     )
@@ -313,7 +313,7 @@ def test_criterion_6_focus_counterexamples():
 
 def test_criterion_7_pignistic_equals_intersection_on_1k_masses():
     rng = np.random.default_rng(7)
-    worst = 0.0
+    residuals = []
     for _ in range(100):
         k = int(rng.integers(2, 5))
         n = int(rng.integers(k, 7))
@@ -325,7 +325,8 @@ def test_criterion_7_pignistic_equals_intersection_on_1k_masses():
         weights /= weights.sum()
         m = MassFunction(frame, dict(zip(support, weights.tolist())))
         p = transforms.intersection_probability(intervals.from_belief(m)).values
-        worst = max(worst, float(np.max(np.abs(transforms.pignistic(m).values - p))))
+        residuals.append(float(np.max(np.abs(transforms.pignistic(m).values - p))))
+    worst = float(np.max(residuals))
     m = _ternary_mass()  # negative control: mixed focal sizes 1, 2 and 3
     control = float(
         np.max(
@@ -341,7 +342,7 @@ def test_criterion_7_pignistic_equals_intersection_on_1k_masses():
 
 def test_criterion_8_affine_closed_form():
     rng = np.random.default_rng(8)
-    worst = 0.0
+    residuals = []
     for _ in range(500):
         n = int(rng.integers(2, 6))
         frame = _frame(n)
@@ -349,10 +350,11 @@ def test_criterion_8_affine_closed_form():
         m2 = _non_bayesian(frame, rng)
         for a1 in (k / 10 for k in range(1, 10)):
             rep = verify.check_affine_formula(m1, m2, a1)
-            worst = max(worst, rep.max_residual)
+            residuals.append(rep.max_residual)
+    worst = float(np.max(residuals))
     # binary closed form
     frame = _frame(2)
-    binary_worst = 0.0
+    binary_residuals = []
     for _ in range(50):
         m1 = _non_bayesian(frame, rng)
         m2 = _non_bayesian(frame, rng)
@@ -365,14 +367,15 @@ def test_criterion_8_affine_closed_form():
                 for i in range(2)
             ]
         )
-        binary_worst = max(binary_worst, float(np.max(np.abs(t_vec - expected))))
+        binary_residuals.append(float(np.max(np.abs(t_vec - expected))))
+    binary_worst = float(np.max(binary_residuals))
     ok = worst <= 1e-9 and binary_worst <= 1e-9
     _line(8, ok, f"residual {worst:.3g}, binary {binary_worst:.3g}")
 
 
 def test_criterion_9_commutation_criteria():
     rng = np.random.default_rng(9)
-    constructed_worst = 0.0
+    constructed = []
     for _ in range(50):
         n = int(rng.integers(3, 6))
         frame = _frame(n)
@@ -395,9 +398,8 @@ def test_criterion_9_commutation_criteria():
                 masses[a] = masses.get(a, 0.0) + float(w)
         m_sigma = MassFunction(frame, masses)
         for partner in (m_beta, m_r, m_sigma):
-            constructed_worst = max(
-                constructed_worst, verify.commutation_residual(m1, partner)
-            )
+            constructed.append(verify.commutation_residual(m1, partner))
+    constructed_worst = float(np.max(constructed))
     witnesses = 0
     generic = 0
     while generic < 100:
@@ -420,7 +422,7 @@ def test_criterion_9_commutation_criteria():
 
 def test_criterion_10_structural_identities_and_runtime():
     rng = np.random.default_rng(10)
-    worst = 0.0
+    residuals = []
     for _ in range(200):
         n = int(rng.integers(2, 7))
         frame = _frame(n)
@@ -432,17 +434,14 @@ def test_criterion_10_structural_identities_and_runtime():
         r = transforms.relative_uncertainty(sys).values
         rb = transforms.relative_belief(m).values
         rp = transforms.relative_plausibility(m).values
-        worst = max(
-            worst,
-            float(np.max(np.abs(p - (totals.k_bel * rb + (1 - totals.k_bel) * r)))),
-        )
+        residuals.append(float(np.max(np.abs(p - (totals.k_bel * rb + (1 - totals.k_bel) * r)))))
         ratio = totals.k_bel / totals.k_pl
-        worst = max(worst, float(np.max(np.abs(rp - (ratio * rb + (1 - ratio) * r)))))
-        worst = max(worst, abs(transforms.cardinality_profile(m).beta().value - b.value))
-        mu = mobius_plausibility(m).values
+        residuals.append(float(np.max(np.abs(rp - (ratio * rb + (1 - ratio) * r)))))
+        residuals.append(abs(transforms.cardinality_profile(m).beta().value - b.value))
+        mu = mobius_plausibility(m)
         for i in range(n):
             total = sum(mu[a] for a in range(1, frame.full + 1) if a >> i & 1)
-            worst = max(worst, abs(total - m.mass(1 << i)))
+            residuals.append(abs(total - m.mass(1 << i)))
         # affine combination commutes with conjunctive combination
         m2 = random_mass(frame, int(rng.integers(2**31)))
         m3 = random_mass(frame, int(rng.integers(2**31)))
@@ -451,13 +450,12 @@ def test_criterion_10_structural_identities_and_runtime():
         r2 = combine.conjunctive(m, m2)
         r3 = combine.conjunctive(m, m3)
         for a in set(left.masses) | set(r2.masses) | set(r3.masses):
-            worst = max(
-                worst,
+            residuals.append(
                 abs(
                     left.masses.get(a, 0.0)
                     - 0.4 * r2.masses.get(a, 0.0)
                     - 0.6 * r3.masses.get(a, 0.0)
-                ),
+                )
             )
         # conflict-weighted split of a Dempster combination with a mixture
         k2 = combine.conjunctive(m, m2).normalisation
@@ -468,7 +466,7 @@ def test_criterion_10_structural_identities_and_runtime():
             [g2, 1 - g2], [combine.dempster(m, m2), combine.dempster(m, m3)]
         )
         for a in set(d_left.masses) | set(d_right.masses):
-            worst = max(worst, abs(d_left.mass(a) - d_right.mass(a)))
+            residuals.append(abs(d_left.mass(a) - d_right.mass(a)))
         # barycentre combination and lower-simplex properness
         lower = geometry.lower_simplex(m)
         upper = geometry.upper_simplex(m)
@@ -476,12 +474,13 @@ def test_criterion_10_structural_identities_and_runtime():
             b.value * geometry.barycentre(upper).values
             + (1 - b.value) * geometry.barycentre(lower).values
         )
-        worst = max(worst, float(np.max(np.abs(combo - p))))
+        residuals.append(float(np.max(np.abs(combo - p))))
         for v in lower.vertices:
-            worst = max(worst, float(max(0.0, -np.min(v.values))))
+            residuals.append(float(np.maximum(0.0, -np.min(v.values))))
         # pignistic as mean of ordering vertices
         mean = np.mean(geometry.permutation_vertices(m), axis=0)
-        worst = max(worst, float(np.max(np.abs(mean - transforms.pignistic(m).values))))
+        residuals.append(float(np.max(np.abs(mean - transforms.pignistic(m).values))))
+    worst = float(np.max(residuals))
     start = time.perf_counter()
     verify.run_all(seed=42, trials=100, max_n=4)
     suite_elapsed = time.perf_counter() - start

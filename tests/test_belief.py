@@ -7,12 +7,14 @@ from intprob import Frame, MassFunction
 from intprob.belief import (
     belief_values,
     classify,
+    contour,
     masses_from_belief,
     mobius_plausibility,
     plausibility_values,
     random_mass,
     singleton_totals,
 )
+from intprob.transforms import varsigma
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 sizes = st.integers(min_value=2, max_value=6)
@@ -29,33 +31,57 @@ def test_mass_validation(frame_xyz):
     assert pseudo.mass(2) == -0.5
 
 
+def test_mass_rejects_non_finite(frame_xyz):
+    nan, inf = float("nan"), float("inf")
+    for masses, pseudo in (
+        ({1: 0.2, 2: 0.3, 4: nan}, False),
+        ({1: inf, 2: -inf, 4: 1.0}, True),
+        ({0: nan, 7: 1.0}, False),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            MassFunction(frame_xyz, masses, pseudo=pseudo)
+
+
 def test_vacuous_belief(frame_xyz):
     vacuous = MassFunction(frame_xyz, {frame_xyz.full: 1.0})
     bel = belief_values(vacuous)
     pl = plausibility_values(vacuous)
     for a in range(1, frame_xyz.full):
-        assert bel.value(a) == 0.0
-        assert pl.value(a) == 1.0
-    assert bel.value(frame_xyz.full) == 1.0
+        assert bel[a] == 0.0
+        assert pl[a] == 1.0
+    assert bel[frame_xyz.full] == 1.0
 
 
 def test_belief_subset_sum(ternary_mass, frame_xyz):
     bel = belief_values(ternary_mass)
-    assert bel.value(frame_xyz.subset(["x", "y"])) == pytest.approx(0.4)
-    assert bel.value(frame_xyz.full) == pytest.approx(1.0)
+    assert bel[frame_xyz.subset(["x", "y"])] == pytest.approx(0.4)
+    assert bel[frame_xyz.full] == pytest.approx(1.0)
 
 
 def test_singleton_plausibility(contour_mass, frame_xyz):
     pl = plausibility_values(contour_mass)
-    assert pl.value(frame_xyz.subset(["x"])) == pytest.approx(0.8)
+    assert pl[frame_xyz.subset(["x"])] == pytest.approx(0.8)
+
+
+def test_contour_matches_plausibility_table():
+    """The sparse contour against the full Pl table read on singletons."""
+    for n in range(1, 11):
+        frame = Frame(tuple(f"e{i}" for i in range(n)))
+        profiles = ("dense", "k-additive(2)", "singleton-free") if n >= 2 else ("dense",)
+        for seed, profile in enumerate(profiles):
+            m = random_mass(frame, 100 * n + seed, profile=profile)
+            for mass in (m, varsigma(m)):
+                table = plausibility_values(mass)
+                oracle = np.array([table[1 << i] for i in range(n)])
+                assert np.max(np.abs(contour(mass) - oracle)) <= 1e-12
 
 
 def test_mobius_table(contour_mass):
     mu = mobius_plausibility(contour_mass)
     expected = {1: 0.8, 2: 0.6, 3: -0.6, 4: 0.6, 5: -0.4, 6: -0.3, 7: 0.3}
     for mask, value in expected.items():
-        assert mu.value(mask) == pytest.approx(value, abs=1e-9)
-    assert float(mu.values.sum()) == pytest.approx(1.0)
+        assert mu[mask] == pytest.approx(value, abs=1e-9)
+    assert float(mu.sum()) == pytest.approx(1.0)
 
 
 def test_singleton_totals_values(ternary_mass, contour_mass):
@@ -78,12 +104,12 @@ def test_classify(frame_xyz, ternary_mass):
 def test_duality_and_roundtrip(seed, n):
     frame = Frame(tuple(f"e{i}" for i in range(n)))
     m = random_mass(frame, seed)
-    bel = belief_values(m).values
-    pl = plausibility_values(m).values
+    bel = belief_values(m)
+    pl = plausibility_values(m)
     for a in range(frame.full + 1):
         assert pl[a] == pytest.approx(1.0 - bel[frame.full & ~a], abs=1e-9)
         assert pl[a] >= bel[a] - 1e-9
-    recovered = masses_from_belief(belief_values(m))
+    recovered = masses_from_belief(frame, bel)
     for a in set(m.masses) | set(recovered.masses):
         assert recovered.mass(a) == pytest.approx(m.mass(a), abs=1e-9)
 
@@ -93,8 +119,8 @@ def test_duality_and_roundtrip(seed, n):
 def test_mobius_singleton_identity(seed, n):
     frame = Frame(tuple(f"e{i}" for i in range(n)))
     m = random_mass(frame, seed)
-    mu = mobius_plausibility(m).values
-    pl = plausibility_values(m).values
+    mu = mobius_plausibility(m)
+    pl = plausibility_values(m)
     for i in range(n):
         total = sum(mu[a] for a in range(1, frame.full + 1) if a >> i & 1)
         assert total == pytest.approx(m.mass(1 << i), abs=1e-9)
@@ -107,7 +133,7 @@ def test_mobius_singleton_identity(seed, n):
 
 
 def test_superadditivity(ternary_mass, frame_xyz):
-    bel = belief_values(ternary_mass).values
+    bel = belief_values(ternary_mass)
     for a in range(1, frame_xyz.full):
         b = frame_xyz.complement(a)
         assert bel[a | b] >= bel[a] + bel[b] - 1e-9
@@ -138,4 +164,4 @@ def test_bayesian_additivity(frame_xyz):
     singles = m.singleton_values()
     for a in range(1, frame_xyz.full + 1):
         expected = sum(singles[i] for i in range(3) if a >> i & 1)
-        assert bel.value(a) == pytest.approx(expected)
+        assert bel[a] == pytest.approx(expected)

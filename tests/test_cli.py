@@ -67,6 +67,13 @@ def test_transform_parse_error(tmp_path, capsys):
     assert main(["transform", "--input", wrong, "--transform", "pignistic"]) == 1
 
 
+def test_transform_non_finite_mass_is_a_parse_error(tmp_path, capsys):
+    masses = [{"set": ["x"], "mass": float("nan")}, {"set": ["y"], "mass": 1.0}]
+    doc = _write(tmp_path / "nan.json", {"frame": ["x", "y"], "masses": masses})
+    assert main(["transform", "--input", doc, "--transform", "pignistic"]) == 1
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
 def test_transform_domain_errors(tmp_path, interval_doc, capsys):
     singleton_free = _write(
         tmp_path / "nf.json",
@@ -113,8 +120,12 @@ def test_verify_exits_three_on_failed_theorem(capsys):
 
 
 def test_verify_zero_trials(capsys):
-    assert main(["verify", "--trials", "0"]) == 0
-    assert capsys.readouterr().out.strip() == ""
+    """A run of no trials checks nothing, so it is a usage error, not a pass."""
+    for trials in ("0", "-1"):
+        assert main(["verify", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials" in captured.err
 
 
 def test_decide(interval_doc, tmp_path, capsys):
@@ -147,6 +158,20 @@ def test_decide_tie_breaks_lexicographically(interval_doc, tmp_path, capsys):
 def test_decide_missing_payoff(interval_doc, tmp_path, capsys):
     utilities = _write(tmp_path / "util.json", {"opt": {"x": 1}})
     assert main(["decide", "--input", interval_doc, "--utilities", utilities]) == 2
+
+
+@pytest.mark.parametrize(
+    "utilities, code",
+    [({}, 2), ([], 1), (["a"], 1), ({"o": 5}, 1)],
+    ids=["no-options", "array", "array-of-names", "number-row"],
+)
+def test_decide_malformed_utilities(interval_doc, tmp_path, capsys, utilities, code):
+    path = _write(tmp_path / "util.json", utilities)
+    assert main(["decide", "--input", interval_doc, "--utilities", path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_decide_scale_invariance(interval_doc, tmp_path, capsys):

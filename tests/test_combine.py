@@ -71,7 +71,7 @@ def test_bayesian_combination_is_contour_weighted():
     from intprob.belief import plausibility_values
 
     pl = plausibility_values(m)
-    weights = [p.mass(1 << i) * pl.value(1 << i) for i in range(4)]
+    weights = [p.mass(1 << i) * pl[1 << i] for i in range(4)]
     total = sum(weights)
     for i in range(4):
         assert combined.mass(1 << i) == pytest.approx(weights[i] / total, abs=1e-9)
@@ -80,9 +80,9 @@ def test_bayesian_combination_is_contour_weighted():
 def test_disjunctive_multiplies_beliefs():
     frame = Frame(("a", "b", "c", "d"))
     m1, m2 = random_mass(frame, 3), random_mass(frame, 4)
-    bel1 = belief_values(m1).values
-    bel2 = belief_values(m2).values
-    combined = belief_values(disjunctive(m1, m2)).values
+    bel1 = belief_values(m1)
+    bel2 = belief_values(m2)
+    combined = belief_values(disjunctive(m1, m2))
     for a in range(frame.full + 1):
         assert combined[a] == pytest.approx(bel1[a] * bel2[a], abs=1e-9)
 
@@ -97,9 +97,9 @@ def test_affine_endpoints_and_linearity(frame_xyz):
     m2 = MassFunction(frame_xyz, {2: 0.4, 3: 0.6})
     assert _residual(affine([1.0, 0.0], [m1, m2]), m1) < 1e-12
     mix = affine([0.3, 0.7], [m1, m2])
-    bel_mix = belief_values(mix).values
-    bel1 = belief_values(m1).values
-    bel2 = belief_values(m2).values
+    bel_mix = belief_values(mix)
+    bel1 = belief_values(m1)
+    bel2 = belief_values(m2)
     for a in range(frame_xyz.full + 1):
         assert bel_mix[a] == pytest.approx(0.3 * bel1[a] + 0.7 * bel2[a])
     with pytest.raises(ValueError):

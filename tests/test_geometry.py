@@ -53,7 +53,7 @@ def test_credal_vertices_degenerate_cases(frame_xyz):
 
 
 def test_credal_vertices_dominate_belief(ternary_mass, frame_xyz):
-    bel = belief_values(ternary_mass).values
+    bel = belief_values(ternary_mass)
     for d in credal_vertices(ternary_mass):
         for a in range(1, frame_xyz.full + 1):
             total = sum(d.values[i] for i in range(3) if a >> i & 1)

@@ -7,6 +7,7 @@ from intprob.geometry import credal_vertices
 from intprob.intervals import contains, from_belief
 from intprob.transforms import (
     DegenerateBetaError,
+    Distribution,
     ZeroSingletonMassError,
     beta,
     beta_of_mass,
@@ -20,6 +21,14 @@ from intprob.transforms import (
     sudano,
     varsigma,
 )
+
+
+def test_distribution_rejects_non_finite():
+    frame = Frame(("a", "b"))
+    nan, inf = float("nan"), float("inf")
+    for values, proper in (([nan, 1.0], True), ([inf, -inf], False)):
+        with pytest.raises(ValueError, match="non-finite"):
+            Distribution(frame, values, proper=proper)
 
 
 def test_beta_values(interval_example, ternary_mass):
@@ -108,8 +117,8 @@ def test_varsigma_contour():
         pl = plausibility_values(m)
         pl_vs = plausibility_values(varsigma(m))
         for i in range(n):
-            expected = b * m.mass(1 << i) + (1 - b) * pl.value(1 << i)
-            assert pl_vs.value(1 << i) == pytest.approx(expected, abs=1e-9)
+            expected = b * m.mass(1 << i) + (1 - b) * pl[1 << i]
+            assert pl_vs[1 << i] == pytest.approx(expected, abs=1e-9)
 
 
 def test_pignistic(ternary_mass, frame_xyz):

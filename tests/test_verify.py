@@ -144,7 +144,9 @@ def test_run_all_deterministic():
 
 
 def test_run_all_guards():
-    assert run_all(seed=1, trials=0, max_n=4) == []
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            run_all(seed=1, trials=trials, max_n=4)
     with pytest.raises(ValueError):
         run_all(seed=1, trials=1, max_n=7)
 
